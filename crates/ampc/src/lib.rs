@@ -63,7 +63,7 @@ pub mod local;
 pub mod mpc;
 
 pub use config::AmpcConfig;
-pub use dds::{DataStore, Key, StoreRead, Value, MAX_WORDS};
+pub use dds::{DataStore, Key, StoreRead, Value};
 pub use error::ModelError;
 pub use executor::{AmpcExecutor, ConflictPolicy, MachineContext};
 pub use graph_store::GraphStore;

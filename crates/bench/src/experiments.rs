@@ -1,6 +1,5 @@
 //! The experiment suite: every table regenerates one theorem-level claim of
-//! the paper (see `DESIGN.md` for the experiment index and `EXPERIMENTS.md`
-//! for recorded outputs).
+//! the paper.
 
 use std::collections::BTreeSet;
 

@@ -27,12 +27,6 @@
 //! * `abort=1/N` — the pool worker running the machine is poisoned: it
 //!   panics the task *and* exits after the batch, forcing a supervised
 //!   respawn.
-//! * `kill=1/N` — the `abort` kind taken across a process boundary: the
-//!   shard-worker **child process** selected by the `(round, worker)`
-//!   cell is genuinely SIGKILLed by the `ProcessBackend` supervisor,
-//!   which then respawns it and replays the round from its retained
-//!   input (only the process backend runs child workers; the in-process
-//!   backends ignore this rate).
 //!
 //! Every injected fault fires on **attempt 0 only**: a retried round
 //! replays from the same input store with no faults, so the merged result
@@ -44,7 +38,7 @@
 //! When no plan is installed the whole module collapses to one relaxed
 //! atomic load per round — the no-op branch the hot path pays.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Duration;
 
@@ -84,9 +78,6 @@ pub struct FaultPlan {
     pub alloc_rate: u64,
     /// Poison the worker of 1-in-`abort_rate` cells.
     pub abort_rate: u64,
-    /// SIGKILL the shard-worker child process of 1-in-`kill_rate`
-    /// `(round, worker)` cells (process backend only).
-    pub kill_rate: u64,
 }
 
 impl FaultPlan {
@@ -118,7 +109,6 @@ impl FaultPlan {
                 "merge" => plan.merge_rate = rate(value.trim())?,
                 "alloc" => plan.alloc_rate = rate(value.trim())?,
                 "abort" => plan.abort_rate = rate(value.trim())?,
-                "kill" => plan.kill_rate = rate(value.trim())?,
                 other => return Err(format!("unknown fault field `{other}`")),
             }
         }
@@ -151,15 +141,6 @@ impl FaultPlan {
     /// Whether round `round`'s shard merge fails on attempt `attempt`.
     pub fn merge_fails(&self, round: u64, attempt: u32) -> bool {
         attempt == 0 && fires(mix(self.seed, round, u64::MAX), 4, self.merge_rate)
-    }
-
-    /// Whether the shard-worker child process `worker` is SIGKILLed while
-    /// serving round `round`. Keyed per `(round, worker)` cell — never by
-    /// pid or wall clock — so a plan kills the same workers in the same
-    /// rounds on every run; like every other kind it fires on attempt 0
-    /// only, so the supervised replay always converges.
-    pub fn worker_killed(&self, round: u64, worker: u64, attempt: u32) -> bool {
-        attempt == 0 && fires(mix(self.seed, round, worker), 5, self.kill_rate)
     }
 }
 
@@ -337,14 +318,6 @@ pub struct FaultCounters {
     pub rounds_retried: u64,
     /// Round attempts discarded because they overran the deadline.
     pub deadline_trips: u64,
-    /// Shard-worker child processes SIGKILLed by the `kill` fault kind.
-    pub worker_kills: u64,
-    /// Shard-worker child processes respawned by the supervisor after a
-    /// death (injected kill, external SIGKILL, EOF or deadline miss).
-    pub worker_process_restarts: u64,
-    /// Rounds whose input was re-streamed to a respawned worker after a
-    /// mid-round death.
-    pub rounds_replayed: u64,
 }
 
 static INJECTED_PANICS: AtomicU64 = AtomicU64::new(0);
@@ -354,13 +327,6 @@ static INJECTED_ALLOCS: AtomicU64 = AtomicU64::new(0);
 static WORKER_POISONS: AtomicU64 = AtomicU64::new(0);
 static ROUNDS_RETRIED: AtomicU64 = AtomicU64::new(0);
 static DEADLINE_TRIPS: AtomicU64 = AtomicU64::new(0);
-static WORKER_KILLS: AtomicU64 = AtomicU64::new(0);
-static WORKER_PROCESS_RESTARTS: AtomicU64 = AtomicU64::new(0);
-static ROUNDS_REPLAYED: AtomicU64 = AtomicU64::new(0);
-/// Live shard-worker child processes, as `spawns - observed deaths`.
-/// Signed because a death can be observed (and counted) slightly before
-/// the spawn accounting of its replacement settles; reads clamp at 0.
-static WORKERS_ALIVE: AtomicI64 = AtomicI64::new(0);
 
 /// A snapshot of the process-wide fault/recovery counters.
 pub fn counters() -> FaultCounters {
@@ -372,43 +338,7 @@ pub fn counters() -> FaultCounters {
         worker_poisons: WORKER_POISONS.load(Ordering::Relaxed),
         rounds_retried: ROUNDS_RETRIED.load(Ordering::Relaxed),
         deadline_trips: DEADLINE_TRIPS.load(Ordering::Relaxed),
-        worker_kills: WORKER_KILLS.load(Ordering::Relaxed),
-        worker_process_restarts: WORKER_PROCESS_RESTARTS.load(Ordering::Relaxed),
-        rounds_replayed: ROUNDS_REPLAYED.load(Ordering::Relaxed),
     }
-}
-
-/// Number of shard-worker child processes currently alive (the
-/// `workers_alive` gauge in `/healthz` and `/metrics`).
-pub fn workers_alive() -> u64 {
-    WORKERS_ALIVE.load(Ordering::Relaxed).max(0) as u64
-}
-
-/// Records one injected SIGKILL of a shard-worker child.
-pub fn note_worker_kill() {
-    WORKER_KILLS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one shard-worker child spawn (bumps the liveness gauge).
-pub fn note_worker_spawned() {
-    WORKERS_ALIVE.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one observed shard-worker child death (drops the liveness
-/// gauge). Respawns are counted separately via
-/// [`note_worker_process_restart`].
-pub fn note_worker_death() {
-    WORKERS_ALIVE.fetch_sub(1, Ordering::Relaxed);
-}
-
-/// Records one supervised respawn of a dead shard-worker child.
-pub fn note_worker_process_restart() {
-    WORKER_PROCESS_RESTARTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one round whose input was re-streamed after a worker death.
-pub fn note_round_replayed() {
-    ROUNDS_REPLAYED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one retried round (called by the backends' retry loops).
@@ -540,7 +470,7 @@ mod tests {
     #[test]
     fn parse_accepts_rates_and_rejects_junk() {
         let plan = FaultPlan::parse(
-            "seed=7, panic=1/40, stall=48, stall_ms=2, merge=1/400, alloc=1/64, abort=1/96, kill=1/128",
+            "seed=7, panic=1/40, stall=48, stall_ms=2, merge=1/400, alloc=1/64, abort=1/96",
         )
         .unwrap();
         assert_eq!(plan.seed, 7);
@@ -550,7 +480,6 @@ mod tests {
         assert_eq!(plan.merge_rate, 400);
         assert_eq!(plan.alloc_rate, 64);
         assert_eq!(plan.abort_rate, 96);
-        assert_eq!(plan.kill_rate, 128);
         assert_eq!(
             FaultPlan::parse("").unwrap(),
             FaultPlan {
@@ -561,6 +490,10 @@ mod tests {
         assert!(FaultPlan::parse("panic").is_err());
         assert!(FaultPlan::parse("panic=x").is_err());
         assert!(FaultPlan::parse("warp=1/2").is_err());
+        assert_eq!(
+            FaultPlan::parse("kill=1/5"),
+            Err("unknown fault field `kill`".to_string())
+        );
     }
 
     #[test]
@@ -584,26 +517,6 @@ mod tests {
         }
         // ~3/8 of 4096 cells; loose bounds, the point is "plenty but not all".
         assert!(fired > 400 && fired < 3000, "{fired} faults fired");
-    }
-
-    #[test]
-    fn worker_kills_are_deterministic_attempt_gated_and_plentiful() {
-        let plan = FaultPlan::parse("seed=9,kill=1/4").unwrap();
-        let mut killed = 0usize;
-        for round in 0..64u64 {
-            for worker in 0..4u64 {
-                let first = plan.worker_killed(round, worker, 0);
-                assert_eq!(first, plan.worker_killed(round, worker, 0), "stable");
-                assert!(!plan.worker_killed(round, worker, 1), "replays run clean");
-                killed += usize::from(first);
-            }
-        }
-        // ~1/4 of 256 cells.
-        assert!(killed > 20 && killed < 150, "{killed} kills fired");
-        assert!(
-            !FaultPlan::default().worker_killed(3, 1, 0),
-            "rate 0 never fires"
-        );
     }
 
     #[test]

@@ -19,8 +19,16 @@ fn capture(cmd: &mut Command) -> Option<String> {
 }
 
 fn main() {
-    // Re-run when HEAD moves so the embedded hash stays honest.
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-run when HEAD moves so the embedded hash stays honest. Without a
+    // `.git` (tarball or `git archive` copy) a rerun-if-changed path that
+    // does not exist would make cargo rerun this script, and rebuild
+    // everything above it, on every build; watch the script itself.
+    let head = std::path::Path::new("../../.git/HEAD");
+    if head.exists() {
+        println!("cargo:rerun-if-changed={}", head.display());
+    } else {
+        println!("cargo:rerun-if-changed=build.rs");
+    }
     println!("cargo:rerun-if-env-changed=AMPC_GIT_HASH");
     println!("cargo:rerun-if-env-changed=AMPC_RUSTC_VERSION");
 

@@ -1,8 +1,7 @@
 //! End-to-end graceful shutdown of the real `ampc-serve` binary: spawn
-//! it, load it with multi-process jobs, deliver SIGTERM mid-queue, and
-//! assert the contract — new submissions are shed with `503` +
-//! `Retry-After`, the queue drains, the process exits `0`, and **no
-//! `ampc-shard-worker` child is orphaned**. A second quick leg checks
+//! it, load it with jobs, deliver SIGTERM mid-queue, and assert the
+//! contract — new submissions are shed with `503` + `Retry-After`, the
+//! queue drains and the process exits `0`. A second quick leg checks
 //! SIGINT on an idle server.
 
 use std::io::{BufRead, BufReader};
@@ -10,7 +9,9 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use ampc_coloring_bench::http_client::{request, request_with_headers, retry_after_seconds};
+use ampc_coloring_bench::http_client::{
+    json_u64, request, request_with_headers, retry_after_seconds,
+};
 use ampc_coloring_repro::Workload;
 use sparse_graph::write_edge_list;
 
@@ -20,7 +21,6 @@ fn boot_serve(extra: &[&str]) -> (Child, SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ampc-serve"))
         .arg("--addr=127.0.0.1:0")
         .args(extra)
-        .env("AMPC_SHARD_WORKER", env!("CARGO_BIN_EXE_ampc-shard-worker"))
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -49,34 +49,6 @@ fn send_signal(pid: u32, signal: &str) {
     assert!(status.success(), "kill {signal} {pid} failed");
 }
 
-/// Live `ampc-shard-worker` pids whose parent is `ppid` (`/proc` scan;
-/// `comm` is kernel-truncated to 15 characters).
-fn shard_worker_children(ppid: u32) -> Vec<u32> {
-    let ppid = ppid.to_string();
-    let mut pids = Vec::new();
-    let Ok(entries) = std::fs::read_dir("/proc") else {
-        return pids;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(pid) = name.to_str().and_then(|s| s.parse::<u32>().ok()) else {
-            continue;
-        };
-        let comm = std::fs::read_to_string(format!("/proc/{pid}/comm")).unwrap_or_default();
-        if !comm.trim().starts_with("ampc-shard-work") {
-            continue;
-        }
-        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap_or_default();
-        if status.lines().any(|line| {
-            line.strip_prefix("PPid:")
-                .is_some_and(|parent| parent.trim() == ppid)
-        }) {
-            pids.push(pid);
-        }
-    }
-    pids
-}
-
 /// Waits up to `timeout` for `child` to exit and returns its code.
 fn wait_with_timeout(child: &mut Child, timeout: Duration) -> Option<i32> {
     let deadline = Instant::now() + timeout;
@@ -91,22 +63,33 @@ fn wait_with_timeout(child: &mut Child, timeout: Duration) -> Option<i32> {
     }
 }
 
+/// Whether job `id` currently has status `status`.
+fn job_is(addr: SocketAddr, id: u64, status: &str) -> bool {
+    let (code, body) = request(
+        addr,
+        "GET",
+        &format!("/v1/jobs/{id}"),
+        "",
+        Some(Duration::from_secs(10)),
+    )
+    .expect("poll job");
+    assert_eq!(code, 200, "{body}");
+    body.contains(&format!("\"status\":\"{status}\""))
+}
+
 #[test]
-fn sigterm_drains_sheds_and_reaps_shard_workers() {
+fn sigterm_drains_sheds_and_finishes_queued_jobs() {
     let (mut child, addr) = boot_serve(&["--workers=2", "--queue=64", "--drain-timeout-s=120"]);
     let serve_pid = child.id();
 
-    // Queue up eight multi-process jobs (distinct seeds: no cache hits).
-    // Two job workers chew through them, each spawning shard-worker
-    // children, while SIGTERM lands mid-queue.
+    // Queue up eight sequential jobs (distinct seeds: no cache hits). Two
+    // job workers chew through them while SIGTERM lands mid-queue.
+    let mut jobs = Vec::new();
     for seed in 0..8u64 {
-        let workload = Workload::PowerLaw {
-            n: 4000,
-            edges_per_node: 3,
-        };
+        let workload = Workload::ForestUnion { n: 20_000, k: 2 };
         let graph = workload.build(seed);
         let target = format!(
-            "/v1/color?algorithm=two-alpha-plus-one&alpha={}&runtime=process&workers=2&min_nodes={}",
+            "/v1/color?algorithm=two-alpha-plus-one&alpha={}&runtime=sequential&min_nodes={}",
             workload.alpha_bound(),
             graph.num_nodes()
         );
@@ -119,19 +102,22 @@ fn sigterm_drains_sheds_and_reaps_shard_workers() {
         )
         .expect("submit");
         assert_eq!(status, 202, "{body}");
+        jobs.push(json_u64(&body, "job").expect("job id"));
     }
 
-    // Shard workers must actually exist before the signal: the kill has
-    // to land while multi-process jobs are in flight.
-    let saw_workers = Instant::now();
-    let mut workers_seen = shard_worker_children(serve_pid);
-    while workers_seen.is_empty() && saw_workers.elapsed() < Duration::from_secs(30) {
-        std::thread::sleep(Duration::from_millis(10));
-        workers_seen = shard_worker_children(serve_pid);
+    // The signal has to land while jobs are in flight: one is running
+    // and the last is still waiting in the queue.
+    let started = Instant::now();
+    while job_is(addr, jobs[0], "queued") {
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "no job started running"
+        );
+        std::thread::sleep(Duration::from_millis(5));
     }
     assert!(
-        !workers_seen.is_empty(),
-        "no ampc-shard-worker children appeared under ampc-serve"
+        job_is(addr, jobs[jobs.len() - 1], "queued"),
+        "the queue emptied before SIGTERM"
     );
 
     send_signal(serve_pid, "-TERM");
@@ -145,7 +131,7 @@ fn sigterm_drains_sheds_and_reaps_shard_workers() {
         match request_with_headers(
             addr,
             "POST",
-            "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=process&workers=2",
+            "/v1/color?algorithm=two-alpha-plus-one&alpha=2&runtime=sequential",
             &write_edge_list(&tiny),
             Some(Duration::from_secs(10)),
         ) {
@@ -173,20 +159,6 @@ fn sigterm_drains_sheds_and_reaps_shard_workers() {
     let code = wait_with_timeout(&mut child, Duration::from_secs(180))
         .expect("ampc-serve exits after draining");
     assert_eq!(code, 0, "a clean drain exits 0");
-
-    // No orphans: every shard worker observed under ampc-serve is gone
-    // (a leaked one would have been reparented and kept running).
-    for pid in workers_seen {
-        let comm = std::fs::read_to_string(format!("/proc/{pid}/comm")).unwrap_or_default();
-        assert!(
-            !comm.trim().starts_with("ampc-shard-work"),
-            "orphaned ampc-shard-worker pid {pid} survived shutdown"
-        );
-    }
-    assert!(
-        shard_worker_children(1).is_empty() || shard_worker_children(serve_pid).is_empty(),
-        "shard workers still parented to the dead server"
-    );
 }
 
 #[test]
